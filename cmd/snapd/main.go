@@ -59,6 +59,16 @@ import (
 	"snap1/internal/semnet"
 )
 
+// HTTP connection timeouts (docs/ENGINE.md). A client has
+// readHeaderTimeout to send its request line and headers, and a
+// keep-alive connection may sit idle between requests for idleTimeout,
+// so stalled or abandoned connections cannot pin the daemon's sockets
+// forever. Neither bounds a query's run time; that is -query-timeout.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("snapd: ")
@@ -87,10 +97,12 @@ func main() {
 	writes := flag.Bool("writes", false, "accept topology-mutating programs on POST /v1/mutate (epoch-versioned online KB writes)")
 	flag.Parse()
 
+	loadStart := time.Now()
 	kb, err := loadKB(*kbPath, *gen, *domain, *seed)
 	if err != nil {
 		log.Fatal(err)
 	}
+	loadTook := time.Since(loadStart)
 
 	opts := []engine.Option{
 		engine.WithReplicas(*replicas),
@@ -129,11 +141,16 @@ func main() {
 		log.Fatal(err)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: engine.NewServer(eng)}
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           engine.NewServer(eng),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("serving %d-node knowledge base on %d replicas at %s (pool up in %v)",
-		kb.NumNodes(), *replicas, *addr, time.Since(start).Round(time.Millisecond))
+	log.Printf("serving %d-node knowledge base on %d replicas at %s (KB loaded in %v, pool up in %v)",
+		kb.NumNodes(), *replicas, *addr, loadTook.Round(time.Millisecond), time.Since(start).Round(time.Millisecond))
 
 	// Graceful shutdown: stop accepting, let in-flight queries drain
 	// within the deadline, then retire the replica pool.

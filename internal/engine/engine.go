@@ -606,6 +606,14 @@ func (e *Engine) Submit(ctx context.Context, prog *isa.Program) (*machine.Result
 	for {
 		f, leader := e.flights.join(h)
 		if leader {
+			if res, ok := e.results.get(h, gen); ok {
+				// An earlier flight finished between the cache miss
+				// above and this join: serve its cached result.
+				e.flights.finish(h, f, res, nil)
+				e.st.resultHit()
+				e.emit(-1, perfmon.EvResultHit, uint32(res.Time), res.Time)
+				return res, nil
+			}
 			res, err := e.executeRetry(ctx, prog, h)
 			if err == nil && !res.Fused {
 				// A fused result reports the fused run's end time, not

@@ -127,27 +127,60 @@ func NewServer(e *Engine) http.Handler {
 	return mux
 }
 
-func (e *Engine) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErrorCode(w, http.StatusMethodNotAllowed, "method_not_allowed", false, errors.New("POST required"))
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+// Request body bounds. A body past its bound answers 413 too_large
+// before any of it is decoded or assembled.
+const (
+	maxQueryBody = 1 << 20 // /v1/query and /v1/mutate
+	maxBatchBody = 8 << 20 // /v1/query/batch
+)
+
+// readBody reads r's body, answering 413 too_large for one longer than
+// limit bytes and 400 bad_request for a failed read; ok reports whether
+// the caller should go on.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) (body []byte, ok bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	if err != nil {
-		writeErrorCode(w, http.StatusBadRequest, "bad_request", false, err)
-		return
+		if tooLarge := new(http.MaxBytesError); errors.As(err, &tooLarge) {
+			writeErrorCode(w, http.StatusRequestEntityTooLarge, "too_large", false,
+				fmt.Errorf("request body exceeds %d bytes", limit))
+		} else {
+			writeErrorCode(w, http.StatusBadRequest, "bad_request", false, err)
+		}
+		return nil, false
 	}
-	var req QueryRequest
+	return body, true
+}
+
+// decodeQuery reads the one-program request shared by /v1/query and
+// /v1/mutate: a JSON QueryRequest, or raw assembly for any other
+// Content-Type. It writes the error envelope itself when ok is false.
+func decodeQuery(w http.ResponseWriter, r *http.Request) (req QueryRequest, ok bool) {
+	body, ok := readBody(w, r, maxQueryBody)
+	if !ok {
+		return req, false
+	}
 	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, "application/json") {
 		if err := json.Unmarshal(body, &req); err != nil {
 			writeErrorCode(w, http.StatusBadRequest, "bad_request", false, err)
-			return
+			return req, false
 		}
 	} else {
 		req.Program = string(body)
 	}
 	if strings.TrimSpace(req.Program) == "" {
 		writeErrorCode(w, http.StatusBadRequest, "bad_request", false, errors.New("empty program"))
+		return req, false
+	}
+	return req, true
+}
+
+func (e *Engine) handleQuery(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		writeErrorCode(w, http.StatusMethodNotAllowed, "method_not_allowed", false, errors.New("POST required"))
+		return
+	}
+	req, ok := decodeQuery(w, r)
+	if !ok {
 		return
 	}
 
@@ -183,22 +216,8 @@ func (e *Engine) handleMutate(w http.ResponseWriter, r *http.Request) {
 		writeErrorCode(w, http.StatusMethodNotAllowed, "method_not_allowed", false, errors.New("POST required"))
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		writeErrorCode(w, http.StatusBadRequest, "bad_request", false, err)
-		return
-	}
-	var req QueryRequest
-	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, "application/json") {
-		if err := json.Unmarshal(body, &req); err != nil {
-			writeErrorCode(w, http.StatusBadRequest, "bad_request", false, err)
-			return
-		}
-	} else {
-		req.Program = string(body)
-	}
-	if strings.TrimSpace(req.Program) == "" {
-		writeErrorCode(w, http.StatusBadRequest, "bad_request", false, errors.New("empty program"))
+	req, ok := decodeQuery(w, r)
+	if !ok {
 		return
 	}
 
@@ -228,9 +247,8 @@ func (e *Engine) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		writeErrorCode(w, http.StatusMethodNotAllowed, "method_not_allowed", false, errors.New("POST required"))
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 8<<20))
-	if err != nil {
-		writeErrorCode(w, http.StatusBadRequest, "bad_request", false, err)
+	body, ok := readBody(w, r, maxBatchBody)
+	if !ok {
 		return
 	}
 	var req BatchQueryRequest
@@ -409,6 +427,7 @@ var envelopeCodes = []string{
 	"overloaded",
 	"shutting_down",
 	"timeout",
+	"too_large",
 	"write_failed",
 	"writes_disabled",
 }

@@ -461,6 +461,60 @@ func TestServerMutateEndpoint(t *testing.T) {
 	}
 }
 
+// TestServerRejectsOversizedBodies: a body past its endpoint's bound
+// answers 413 too_large and is never assembled, run or committed. Each
+// body is a valid request padded with trailing white space, so cutting it
+// at the bound (as a silent truncation would) leaves a request that runs.
+func TestServerRejectsOversizedBodies(t *testing.T) {
+	kb, _ := writeTestKB(t)
+	e, err := New(kb, WithReplicas(2), WithWrites(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewServer(e))
+	defer func() { srv.Close(); e.Close() }()
+
+	const readProg = "search-node node=a marker=c1 value=0\n" +
+		"propagate m1=c1 m2=c2 rule=path(is-a) fn=add\n" +
+		"collect-node marker=c2\n"
+	batch, _ := json.Marshal(BatchQueryRequest{Programs: []string{readProg}})
+	for _, c := range []struct {
+		path, contentType string
+		body              string
+	}{
+		{"/v1/query", "text/plain", readProg + strings.Repeat("\n", maxQueryBody)},
+		{"/v1/mutate", "text/plain", "create src=c rel=is-a w=1 dst=d\n" + strings.Repeat("\n", maxQueryBody)},
+		{"/v1/query/batch", "application/json", string(batch) + strings.Repeat(" ", maxBatchBody)},
+	} {
+		resp, err := http.Post(srv.URL+c.path, c.contentType, strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env ErrorEnvelope
+		_ = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || env.Error.Code != "too_large" || env.Error.Retryable {
+			t.Errorf("%s with a %d-byte body: %d %+v, want 413 too_large", c.path, len(c.body), resp.StatusCode, env.Error)
+		}
+	}
+	st := e.Stats()
+	if st.CompileHits+st.CompileMisses != 0 || st.Submitted != 0 || st.Writes != 0 {
+		t.Errorf("oversized bodies reached the engine: %d compiles, %d submitted, %d writes",
+			st.CompileHits+st.CompileMisses, st.Submitted, st.Writes)
+	}
+
+	// A body at the bound is still accepted.
+	atLimit := readProg + strings.Repeat("\n", maxQueryBody-len(readProg))
+	resp, err := http.Post(srv.URL+"/v1/query", "text/plain", strings.NewReader(atLimit))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("%d-byte body: status %d, want 200", len(atLimit), resp.StatusCode)
+	}
+}
+
 // TestEnvelopeCodesDocumented asserts every stable envelope code —
 // classify sentinels and request-shape rejections alike — has a row in
 // docs/RESILIENCE.md, so a new code cannot ship undocumented.

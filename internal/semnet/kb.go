@@ -88,6 +88,10 @@ var (
 func (kb *KB) AddNode(name string, color Color) (NodeID, error) {
 	kb.mu.Lock()
 	defer kb.mu.Unlock()
+	return kb.addNodeLocked(name, color)
+}
+
+func (kb *KB) addNodeLocked(name string, color Color) (NodeID, error) {
 	if _, ok := kb.byName[name]; ok {
 		return InvalidNode, fmt.Errorf("%w: %q", ErrDuplicateNode, name)
 	}
@@ -112,6 +116,10 @@ func (kb *KB) MustAddNode(name string, color Color) NodeID {
 func (kb *KB) SetFn(id NodeID, fn FuncCode) error {
 	kb.mu.Lock()
 	defer kb.mu.Unlock()
+	return kb.setFnLocked(id, fn)
+}
+
+func (kb *KB) setFnLocked(id NodeID, fn FuncCode) error {
 	if int(id) >= len(kb.nodes) {
 		return fmt.Errorf("%w: %d", ErrUnknownNode, id)
 	}
@@ -145,6 +153,10 @@ func (kb *KB) SetColor(id NodeID, c Color) error {
 func (kb *KB) AddLink(from NodeID, rel RelType, weight float32, to NodeID) error {
 	kb.mu.Lock()
 	defer kb.mu.Unlock()
+	return kb.addLinkLocked(from, rel, weight, to)
+}
+
+func (kb *KB) addLinkLocked(from NodeID, rel RelType, weight float32, to NodeID) error {
 	if int(from) >= len(kb.nodes) || int(to) >= len(kb.nodes) {
 		return fmt.Errorf("%w: link %d->%d", ErrUnknownNode, from, to)
 	}
@@ -263,20 +275,29 @@ func (kb *KB) NumLinks() int {
 }
 
 // Relation interns a relation-type name, assigning the next free type.
+// It panics once the 64K type space is exhausted.
 func (kb *KB) Relation(name string) RelType {
 	kb.mu.Lock()
 	defer kb.mu.Unlock()
+	r, err := kb.relationLocked(name)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+func (kb *KB) relationLocked(name string) (RelType, error) {
 	if r, ok := kb.relByName[name]; ok {
-		return r
+		return r, nil
 	}
 	r := kb.nextRel
 	if r == RelCont {
-		panic("semnet: relation type space exhausted")
+		return 0, fmt.Errorf("%w: relation type space exhausted", ErrCapacity)
 	}
 	kb.nextRel++
 	kb.relByName[name] = r
 	kb.relNames[r] = name
-	return r
+	return r, nil
 }
 
 // RelationName returns the interned name for r, or a numeric placeholder.
@@ -292,21 +313,30 @@ func (kb *KB) RelationName(r RelType) string {
 	return fmt.Sprintf("rel#%d", r)
 }
 
-// ColorFor interns a color name, assigning the next free color.
+// ColorFor interns a color name, assigning the next free color. It
+// panics once the 255 assignable colors are exhausted.
 func (kb *KB) ColorFor(name string) Color {
 	kb.mu.Lock()
 	defer kb.mu.Unlock()
+	c, err := kb.colorLocked(name)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
+func (kb *KB) colorLocked(name string) (Color, error) {
 	if c, ok := kb.colorByNm[name]; ok {
-		return c
+		return c, nil
 	}
 	c := kb.nextColor
 	if c == ColorSubnode {
-		panic("semnet: color space exhausted")
+		return 0, fmt.Errorf("%w: color space exhausted", ErrCapacity)
 	}
 	kb.nextColor++
 	kb.colorByNm[name] = c
 	kb.colorNames[c] = name
-	return c
+	return c, nil
 }
 
 // ColorName returns the interned name for c, or a numeric placeholder.

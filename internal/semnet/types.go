@@ -2,6 +2,16 @@
 // the logical network of colored nodes joined by typed, weighted relations,
 // and the three physical per-cluster tables of the paper's Fig. 4 — the
 // node table, the bit-packed marker status table, and the relation table.
+//
+// A KB is safe for concurrent use: each method takes the KB's RWMutex for
+// its own duration. Bulk loaders use KB.Build instead, which holds the
+// write lock once for a whole load and mutates through a Builder; the
+// Builder's methods and the locked mutators (AddNode, SetFn, AddLink,
+// Relation, ColorFor) share one set of unlocked internals, so a bulk load
+// leaves the same nodes, links, intern tables, generation and delta-log
+// records as the equivalent sequence of locked calls. Code running inside
+// Build must not call the KB's own methods: they would wait forever on
+// the lock Build holds.
 package semnet
 
 import "fmt"
