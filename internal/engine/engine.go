@@ -334,11 +334,12 @@ type response struct {
 // replicas sharing one knowledge base. Safe for use from any number of
 // goroutines.
 type Engine struct {
-	cfg   Config
-	kb    *semnet.KB
-	kbGen uint64 // KB generation at bring-up; result-cache key half
-	asm   *isa.Assembler
-	mon   *perfmon.Collector
+	cfg     Config
+	kb      *semnet.KB
+	kbGen   uint64         // KB generation at bring-up; result-cache key half
+	asm     *isa.Assembler // interning: mutations may name new relations and colors
+	readAsm *isa.Assembler // lookup-only: reads never add names to the KB
+	mon     *perfmon.Collector
 
 	machines []*machine.Machine // index = replica rank = shard owner
 	shards   []*shard
@@ -355,7 +356,7 @@ type Engine struct {
 	wg        sync.WaitGroup
 
 	cache   *lruCache[uint64, *isa.Program]   // assembly-source hash -> program
-	valid   sync.Map                          // program content hash -> struct{}: validated
+	valid   *lruCache[uint64, struct{}]       // program content hash -> validated
 	opts    *lruCache[uint64, *isa.Optimized] // program content hash -> optimization product
 	results *resultCache                      // nil when disabled
 	flights *flightGroup                      // nil when results is nil
@@ -454,6 +455,7 @@ func New(kb *semnet.KB, opts ...Option) (*Engine, error) {
 		kb:       kb,
 		kbGen:    kb.Generation(),
 		asm:      isa.NewAssembler(kb),
+		readAsm:  isa.NewLookupAssembler(kb),
 		mon:      cfg.Monitor,
 		machines: machines,
 		shards:   make([]*shard, cfg.Replicas),
@@ -462,6 +464,7 @@ func New(kb *semnet.KB, opts ...Option) (*Engine, error) {
 		start:    time.Now(),
 		done:     make(chan struct{}),
 		cache:    newLRUCache[uint64, *isa.Program](cfg.CacheCap),
+		valid:    newLRUCache[uint64, struct{}](cfg.CacheCap),
 		opts:     newLRUCache[uint64, *isa.Optimized](cfg.CacheCap),
 	}
 	if cfg.ResultCacheCap > 0 && cfg.Machine.Deterministic {
@@ -585,12 +588,9 @@ func (e *Engine) Submit(ctx context.Context, prog *isa.Program) (*machine.Result
 		return nil, ErrMutatingProgram
 	}
 	h := prog.Hash()
-	if _, ok := e.valid.Load(h); !ok {
-		if err := prog.Validate(); err != nil {
-			e.st.reject()
-			return nil, err
-		}
-		e.valid.Store(h, struct{}{})
+	if err := e.validate(prog, h); err != nil {
+		e.st.reject()
+		return nil, err
 	}
 	if e.results == nil {
 		return e.executeRetry(ctx, prog, h)
@@ -650,6 +650,20 @@ func (e *Engine) Submit(ctx context.Context, prog *isa.Program) (*machine.Result
 			return nil, ErrClosed
 		}
 	}
+}
+
+// validate checks prog once per content hash. The memo keeps only
+// programs that passed, in an LRU bounded like the compile cache, so an
+// evicted program is simply checked again.
+func (e *Engine) validate(prog *isa.Program, h uint64) error {
+	if _, ok := e.valid.get(h); ok {
+		return nil
+	}
+	if err := prog.Validate(); err != nil {
+		return err
+	}
+	e.valid.put(h, struct{}{})
+	return nil
 }
 
 // execute admits a validated (and already optimized) query, enqueues
@@ -738,9 +752,9 @@ func (e *Engine) wake() {
 }
 
 // SubmitSource assembles SNAP assembly text (resolving names against the
-// engine's knowledge base) and submits the program. Compilation is
-// memoized in an LRU cache keyed by the source's content hash, so a hot
-// query's assembly and rule compilation cost is paid once.
+// engine's knowledge base, as Compile does) and submits the program.
+// Compilation is memoized in an LRU cache keyed by the source's content
+// hash, so a hot query's assembly and rule compilation cost is paid once.
 func (e *Engine) SubmitSource(ctx context.Context, src string) (*machine.Result, error) {
 	prog, err := e.Compile(src)
 	if err != nil {
@@ -751,8 +765,26 @@ func (e *Engine) SubmitSource(ctx context.Context, src string) (*machine.Result,
 
 // Compile assembles src through the engine's LRU compile cache and
 // returns the shared compiled program. The returned program must be
-// treated as immutable.
+// treated as immutable. Names resolve by lookup only: a relation or
+// color the knowledge base does not know fails with isa.ErrBadProgram,
+// as an unknown node does, so compiling a read never adds to the KB's
+// relation and color tables.
 func (e *Engine) Compile(src string) (*isa.Program, error) {
+	return e.compile(e.readAsm, src)
+}
+
+// CompileWrite is Compile for a program bound for SubmitWrite: a
+// relation or color name the knowledge base does not know yet is
+// interned, and a full relation or color table fails the compile with
+// isa.ErrBadProgram.
+func (e *Engine) CompileWrite(src string) (*isa.Program, error) {
+	return e.compile(e.asm, src)
+}
+
+// compile assembles src with asm through the compile cache. Both
+// assemblers produce the same program for a source whose names all
+// exist, so reads and writes share cache entries.
+func (e *Engine) compile(asm *isa.Assembler, src string) (*isa.Program, error) {
 	fh := fnv.New64a()
 	fh.Write([]byte(src))
 	key := fh.Sum64()
@@ -761,7 +793,7 @@ func (e *Engine) Compile(src string) (*isa.Program, error) {
 		return prog, nil
 	}
 	start := time.Now()
-	prog, err := e.asm.Assemble(strings.NewReader(src))
+	prog, err := asm.Assemble(strings.NewReader(src))
 	if err != nil {
 		e.st.reject()
 		return nil, err

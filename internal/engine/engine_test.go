@@ -11,6 +11,7 @@ import (
 	"snap1/internal/isa"
 	"snap1/internal/kbgen"
 	"snap1/internal/machine"
+	"snap1/internal/semnet"
 )
 
 // fig15KB generates the synthetic linguistic knowledge base of the
@@ -350,5 +351,65 @@ func TestSubmitAfterClose(t *testing.T) {
 	concept := queryConcepts(g, 1)[0]
 	if _, err := e.SubmitSource(context.Background(), inheritanceQuery(g, concept)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after close returned %v, want ErrClosed", err)
+	}
+}
+
+// TestValidationMemoBounded: the validation memo holds at most CacheCap
+// programs however many distinct ones are served, and never admits an
+// invalid one — before or after the entries around it are evicted.
+func TestValidationMemoBounded(t *testing.T) {
+	const capacity = 4
+	g := fig15KB(t, 400)
+	e, err := New(g.KB, WithReplicas(1), WithCacheCap(capacity))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	// A rule token with no rule table entry: it assembles, but fails
+	// Program.Validate.
+	invalid := isa.NewProgram()
+	if err := invalid.Add(isa.Instruction{Op: isa.OpPropagate, M1: 1, M2: 2, Fn: semnet.FuncAdd, Rule: 99}); err != nil {
+		t.Fatal(err)
+	}
+	submitInvalid := func(when string) {
+		t.Helper()
+		if _, err := e.Submit(context.Background(), invalid); !errors.Is(err, isa.ErrBadProgram) {
+			t.Fatalf("%s: invalid program: %v, want ErrBadProgram", when, err)
+		}
+		if _, errs := e.SubmitBatch(context.Background(), []*isa.Program{invalid}); !errors.Is(errs[0], isa.ErrBadProgram) {
+			t.Fatalf("%s: invalid batch member: %v, want ErrBadProgram", when, errs[0])
+		}
+	}
+	submitInvalid("cold")
+
+	concepts := queryConcepts(g, 3)
+	var first *isa.Program
+	for i := 0; i < 10*capacity; i++ {
+		prog, err := e.Compile(fmt.Sprintf("search-node node=%s marker=c1 value=%d\npropagate m1=c1 m2=c2 rule=path(is-a) fn=add\ncollect-node marker=c2\n",
+			concepts[i%len(concepts)], i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = prog
+		}
+		if _, err := e.Submit(context.Background(), prog); err != nil {
+			t.Fatal(err)
+		}
+		if n := e.valid.len(); n > capacity {
+			t.Fatalf("after %d programs the memo holds %d, bound %d", i+1, n, capacity)
+		}
+	}
+	if _, ok := e.valid.get(invalid.Hash()); ok {
+		t.Fatal("the memo admitted an invalid program")
+	}
+	submitInvalid("after eviction")
+	// An evicted valid program is validated afresh and still served.
+	if _, ok := e.valid.get(first.Hash()); ok {
+		t.Fatal("the first program outlived 10x the memo's capacity")
+	}
+	if _, err := e.Submit(context.Background(), first); err != nil {
+		t.Fatalf("evicted valid program: %v", err)
 	}
 }

@@ -193,13 +193,10 @@ func (e *Engine) SubmitBatch(ctx context.Context, progs []*isa.Program) ([]*mach
 			continue
 		}
 		h := prog.Hash()
-		if _, ok := e.valid.Load(h); !ok {
-			if err := prog.Validate(); err != nil {
-				e.st.reject()
-				errs[i] = err
-				continue
-			}
-			e.valid.Store(h, struct{}{})
+		if err := e.validate(prog, h); err != nil {
+			e.st.reject()
+			errs[i] = err
+			continue
 		}
 		if e.results != nil {
 			if res, ok := e.results.get(h, gen); ok {

@@ -202,7 +202,7 @@ func (e *Engine) handleQuery(w http.ResponseWriter, r *http.Request) {
 		e.writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, e.queryResponse(prog, res, time.Since(start)))
+	e.writeAnswer(w, prog, res, time.Since(start))
 }
 
 // handleMutate answers POST /v1/mutate: one topology-mutating SNAP
@@ -228,7 +228,7 @@ func (e *Engine) handleMutate(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	prog, err := e.Compile(req.Program)
+	prog, err := e.CompileWrite(req.Program)
 	if err != nil {
 		e.writeError(w, err)
 		return
@@ -239,7 +239,7 @@ func (e *Engine) handleMutate(w http.ResponseWriter, r *http.Request) {
 		e.writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, e.queryResponse(prog, res, time.Since(start)))
+	e.writeAnswer(w, prog, res, time.Since(start))
 }
 
 func (e *Engine) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
@@ -273,15 +273,18 @@ func (e *Engine) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	out := BatchQueryResponse{Results: make([]BatchElement, len(req.Programs))}
-	progs := make([]*isa.Program, 0, len(req.Programs))
-	indices := make([]int, 0, len(req.Programs)) // progs[j] answers element indices[j]
+	// Element i answers elemRes[i] of elemProgs[i], or elemErrs[i].
+	n := len(req.Programs)
+	elemProgs, elemRes, elemErrs := make([]*isa.Program, n), make([]*machine.Result, n), make([]error, n)
+	progs := make([]*isa.Program, 0, n)
+	indices := make([]int, 0, n) // progs[j] answers element indices[j]
 	for i, src := range req.Programs {
 		prog, err := e.Compile(src)
 		if err != nil {
-			out.Results[i].Error = errorBody(err)
+			elemErrs[i] = err
 			continue
 		}
+		elemProgs[i] = prog
 		progs = append(progs, prog)
 		indices = append(indices, i)
 	}
@@ -290,53 +293,9 @@ func (e *Engine) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	results, errs := e.SubmitBatch(ctx, progs)
 	wall := time.Since(start)
 	for j, i := range indices {
-		if errs[j] != nil {
-			out.Results[i].Error = errorBody(errs[j])
-			continue
-		}
-		resp := e.queryResponse(progs[j], results[j], wall)
-		out.Results[i].Result = &resp
+		elemRes[i], elemErrs[i] = results[j], errs[j]
 	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// errorBody classifies err into the typed per-element envelope body.
-func errorBody(err error) *ErrorBody {
-	_, code, retryable := classify(err)
-	return &ErrorBody{Code: code, Message: err.Error(), Retryable: retryable}
-}
-
-func (e *Engine) queryResponse(prog *isa.Program, res *machine.Result, wall time.Duration) QueryResponse {
-	kb := e.kb
-	out := QueryResponse{
-		VirtualTime:  res.Time.String(),
-		VirtualPicos: int64(res.Time),
-		WallMicros:   wall.Microseconds(),
-		ProgramHash:  hashString(prog.Hash()),
-		Instructions: prog.Len(),
-		Fused:        res.Fused,
-		KBGeneration: res.KBGen,
-	}
-	for _, coll := range res.Collections {
-		qc := QueryCollection{Instr: coll.Instr, Op: coll.Op.String()}
-		for _, it := range coll.Items {
-			qi := QueryItem{Node: kb.Name(kb.Canonical(it.Node))}
-			switch coll.Op {
-			case isa.OpCollectRelation:
-				qi.Rel = kb.RelationName(it.Rel)
-				qi.Weight = it.Weight
-				qi.To = kb.Name(kb.Canonical(it.To))
-			case isa.OpCollectColor:
-				qi.Color = kb.ColorName(it.Color)
-			default:
-				qi.Value = it.Value
-				qi.Origin = kb.Name(kb.Canonical(it.Origin))
-			}
-			qc.Items = append(qc.Items, qi)
-		}
-		out.Collections = append(out.Collections, qc)
-	}
-	return out
+	e.writeBatchAnswer(w, elemProgs, elemRes, elemErrs, wall)
 }
 
 // StatsResponse is the JSON body answering GET /v1/stats.
@@ -478,14 +437,4 @@ func (e *Engine) writeError(w http.ResponseWriter, err error) {
 // sentinel to classify (malformed requests, wrong methods).
 func writeErrorCode(w http.ResponseWriter, status int, code string, retryable bool, err error) {
 	writeJSON(w, status, ErrorEnvelope{Error: ErrorBody{Code: code, Message: err.Error(), Retryable: retryable}})
-}
-
-func hashString(h uint64) string {
-	const hexdig = "0123456789abcdef"
-	var buf [16]byte
-	for i := 15; i >= 0; i-- {
-		buf[i] = hexdig[h&0xf]
-		h >>= 4
-	}
-	return string(buf[:])
 }

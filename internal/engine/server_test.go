@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -17,6 +18,7 @@ import (
 
 	"snap1/internal/fault"
 	"snap1/internal/isa"
+	"snap1/internal/kbfile"
 	"snap1/internal/kbgen"
 	"snap1/internal/machine"
 	"snap1/internal/perfmon"
@@ -546,4 +548,173 @@ func TestEnvelopeCodesDocumented(t *testing.T) {
 			t.Errorf("classify surfaces %q, absent from envelopeCodes", code)
 		}
 	}
+}
+
+// postRaw posts a text/plain body to path and returns the status and the
+// raw response body.
+func postRaw(t *testing.T, url, path, body string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url+path, "text/plain", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST %s: %v", path, err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, raw
+}
+
+// envelopeCode decodes a typed error envelope's code, failing the test
+// when raw is not one.
+func envelopeCode(t *testing.T, raw []byte) string {
+	t.Helper()
+	var env ErrorEnvelope
+	if err := json.Unmarshal(raw, &env); err != nil || env.Error.Code == "" {
+		t.Fatalf("body %q is not an error envelope (%v)", raw, err)
+	}
+	return env.Error.Code
+}
+
+// TestServerNonFiniteAnswers: JSON cannot carry an infinity or NaN, so
+// a non-finite operand is refused at assembly and an answer that still
+// holds a non-finite number (here from a +Inf weight in the KB file)
+// answers the internal envelope — never a 200 with an empty body.
+func TestServerNonFiniteAnswers(t *testing.T) {
+	kb, err := kbfile.Parse(strings.NewReader("node a class\nnode b class\nnode c class\nlink a is-a +Inf b\nlink c is-a 1 b\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(kb, WithReplicas(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewServer(e))
+	defer func() { srv.Close(); e.Close() }()
+
+	for _, prog := range []string{
+		"search-node node=a marker=c1 value=inf\ncollect-node marker=c1\n",
+		"search-node node=a marker=c1 value=-Inf\ncollect-node marker=c1\n",
+		"search-node node=a marker=c1 value=nan\ncollect-node marker=c1\n",
+		"set-marker marker=c1 value=NaN\ncollect-node marker=c1\n",
+	} {
+		status, raw := postRaw(t, srv.URL, "/v1/query", prog)
+		if status != http.StatusBadRequest || envelopeCode(t, raw) != "bad_program" {
+			t.Errorf("%q: %d %q, want 400 bad_program", prog, status, raw)
+		}
+	}
+
+	weight := "search-node node=a marker=c1 value=1\ncollect-relation marker=c1 rel=is-a\n"
+	spread := "search-node node=a marker=c1 value=1\npropagate m1=c1 m2=c2 rule=path(is-a) fn=add\ncollect-node marker=c2\n"
+	finite := "search-node node=c marker=c1 value=1\ncollect-relation marker=c1 rel=is-a\n"
+	for _, prog := range []string{weight, spread} {
+		status, raw := postRaw(t, srv.URL, "/v1/query", prog)
+		if status != http.StatusInternalServerError || envelopeCode(t, raw) != "internal" {
+			t.Errorf("%q: %d %q, want 500 internal", prog, status, raw)
+		}
+	}
+	if status, raw := postRaw(t, srv.URL, "/v1/query", finite); status != http.StatusOK {
+		t.Errorf("finite answer: %d %q", status, raw)
+	}
+
+	body, _ := json.Marshal(BatchQueryRequest{Programs: []string{weight, finite, spread}})
+	resp, err := http.Post(srv.URL+"/v1/query/batch", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out BatchQueryResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatalf("batch status %d: %v", resp.StatusCode, err)
+	}
+	if len(out.Results) != 3 {
+		t.Fatalf("batch answered %d elements, want 3", len(out.Results))
+	}
+	for _, i := range []int{0, 2} {
+		if el := out.Results[i]; el.Error == nil || el.Error.Code != "internal" {
+			t.Errorf("element %d = %+v, want the internal error", i, el)
+		}
+	}
+	if el := out.Results[1]; el.Result == nil || len(el.Result.Collections) != 1 {
+		t.Errorf("finite element = %+v, want its answer", el)
+	}
+}
+
+// TestServerReadsCannotExhaustKBTables: read queries resolve relation
+// and color names by lookup only, so made-up names answer 400
+// bad_program and never enter the KB — the 255-color table cannot be
+// used up by reads. A mutation may intern names, but a full table
+// fails its compile with bad_program instead of panicking.
+func TestServerReadsCannotExhaustKBTables(t *testing.T) {
+	kb, _ := writeTestKB(t)
+	e, err := New(kb, WithReplicas(2), WithWrites(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewServer(e))
+	defer func() { srv.Close(); e.Close() }()
+
+	for i := 0; i < 300; i++ {
+		prog := fmt.Sprintf("search-color color=made-up-%d marker=c1 value=0\ncollect-node marker=c1\n", i)
+		status, raw := postRaw(t, srv.URL, "/v1/query", prog)
+		if status != http.StatusBadRequest || envelopeCode(t, raw) != "bad_program" {
+			t.Fatalf("query %d with an unknown color: %d %q, want 400 bad_program", i, status, raw)
+		}
+	}
+	status, raw := postRaw(t, srv.URL, "/v1/query",
+		"search-node node=a marker=c1 value=0\npropagate m1=c1 m2=c2 rule=path(made-up-rel) fn=add\ncollect-node marker=c2\n")
+	if status != http.StatusBadRequest || envelopeCode(t, raw) != "bad_program" {
+		t.Errorf("unknown relation: %d %q, want 400 bad_program", status, raw)
+	}
+	body, _ := json.Marshal(BatchQueryRequest{Programs: []string{
+		"search-color color=concept marker=c1 value=0\ncollect-relation marker=c1 rel=made-up-rel\n",
+		"search-color color=concept marker=c1 value=0\ncollect-node marker=c1\n",
+	}})
+	resp, err := http.Post(srv.URL+"/v1/query/batch", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out BatchQueryResponse
+	err = json.NewDecoder(resp.Body).Decode(&out)
+	resp.Body.Close()
+	if err != nil || len(out.Results) != 2 {
+		t.Fatalf("batch: %v, %d elements", err, len(out.Results))
+	}
+	if el := out.Results[0]; el.Error == nil || el.Error.Code != "bad_program" {
+		t.Errorf("batch element naming an unknown relation = %+v, want bad_program", el)
+	}
+	if el := out.Results[1]; el.Result == nil || len(el.Result.Collections[0].Items) != 4 {
+		t.Errorf("batch element naming a known color = %+v, want its 4 rows", el)
+	}
+	if _, err := e.SubmitSource(context.Background(), "search-color color=made-up-sdk marker=c1 value=0\n"); !errors.Is(err, isa.ErrBadProgram) {
+		t.Errorf("SubmitSource with an unknown color: %v, want ErrBadProgram", err)
+	}
+	for _, name := range []string{"made-up-0", "made-up-299", "made-up-sdk"} {
+		if _, ok := kb.LookupColor(name); ok {
+			t.Errorf("read query interned color %q", name)
+		}
+	}
+	if _, ok := kb.LookupRelation("made-up-rel"); ok {
+		t.Error("read query interned relation made-up-rel")
+	}
+
+	// A mutation interns a new color ...
+	if status, raw := postRaw(t, srv.URL, "/v1/mutate", "set-color node=d color=fresh\n"); status != http.StatusOK {
+		t.Fatalf("mutate with a new color: %d %q", status, raw)
+	}
+	if _, ok := kb.LookupColor("fresh"); !ok {
+		t.Error("mutation did not intern its color")
+	}
+	// ... but one that would overflow the color table is refused.
+	var flood strings.Builder
+	for i := 0; i < 300; i++ {
+		fmt.Fprintf(&flood, "set-color node=d color=flood-%d\n", i)
+	}
+	status, raw = postRaw(t, srv.URL, "/v1/mutate", flood.String())
+	if status != http.StatusBadRequest || envelopeCode(t, raw) != "bad_program" {
+		t.Errorf("mutation overflowing the color table: %d %q, want 400 bad_program", status, raw)
+	}
+	// The server keeps answering.
+	postQuery(t, srv.URL, "search-color color=concept marker=c1 value=0\ncollect-node marker=c1\n")
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -15,7 +16,8 @@ import (
 //
 // One instruction per line, lower- or upper-case opcode followed by
 // key=value operands; '#' starts a comment. Node, relation and color
-// operands are resolved by name against the knowledge base. Markers are
+// operands are resolved by name against the knowledge base; value= and
+// weight= operands must be finite numbers. Markers are
 // written c0..c63 (complex), b0..b63 (binary), or m<k> as an alias for
 // c<k>. Example:
 //
@@ -23,11 +25,22 @@ import (
 //	propagate m1=c1 m2=c2 rule=spread(is-a,last) fn=add
 //	collect-node marker=c2
 type Assembler struct {
-	kb *semnet.KB
+	kb         *semnet.KB
+	lookupOnly bool
 }
 
-// NewAssembler returns an assembler resolving names against kb.
+// NewAssembler returns an assembler resolving names against kb. A
+// relation or color name kb does not know yet is interned: it is added
+// to kb's tables for good, and a full table fails the line.
 func NewAssembler(kb *semnet.KB) *Assembler { return &Assembler{kb: kb} }
+
+// NewLookupAssembler returns an assembler that resolves relation and
+// color names by lookup only: an unknown one fails the line, as an
+// unknown node does, and assembling never adds a name to kb. Read-only
+// serving compiles with it, so queries cannot grow the KB's tables.
+func NewLookupAssembler(kb *semnet.KB) *Assembler {
+	return &Assembler{kb: kb, lookupOnly: true}
+}
 
 // Assemble parses a full program from r.
 func (a *Assembler) Assemble(r io.Reader) (*Program, error) {
@@ -108,12 +121,24 @@ func (a *Assembler) setOperand(in *Instruction, ruleSpec **rules.Spec, key, val 
 		}
 		in.EndNode = id
 	case "relation", "rel", "forward-relation":
-		in.Rel = a.kb.Relation(val)
+		r, err := a.relation(val)
+		if err != nil {
+			return err
+		}
+		in.Rel = r
 	case "reverse-relation", "rev":
-		in.RevRel = a.kb.Relation(val)
+		r, err := a.relation(val)
+		if err != nil {
+			return err
+		}
+		in.RevRel = r
 		in.HasRev = true
 	case "color":
-		in.Color = a.kb.ColorFor(val)
+		c, err := a.color(val)
+		if err != nil {
+			return err
+		}
+		in.Color = c
 	case "marker", "m1", "marker-1":
 		m, err := parseMarker(val)
 		if err != nil {
@@ -133,17 +158,17 @@ func (a *Assembler) setOperand(in *Instruction, ruleSpec **rules.Spec, key, val 
 		}
 		in.M3 = m
 	case "value", "operand":
-		v, err := strconv.ParseFloat(val, 32)
+		v, err := parseFinite("value", val)
 		if err != nil {
-			return fmt.Errorf("bad value %q: %v", val, err)
+			return err
 		}
-		in.Value = float32(v)
+		in.Value = v
 	case "weight", "w":
-		v, err := strconv.ParseFloat(val, 32)
+		v, err := parseFinite("weight", val)
 		if err != nil {
-			return fmt.Errorf("bad weight %q: %v", val, err)
+			return err
 		}
-		in.Weight = float32(v)
+		in.Weight = v
 	case "fn", "function":
 		fn, err := parseFunc(val)
 		if err != nil {
@@ -176,6 +201,39 @@ func (a *Assembler) node(name string) (semnet.NodeID, error) {
 		return semnet.NodeID(n), nil
 	}
 	return semnet.InvalidNode, fmt.Errorf("unknown node %q", name)
+}
+
+func (a *Assembler) relation(name string) (semnet.RelType, error) {
+	if !a.lookupOnly {
+		return a.kb.InternRelation(name)
+	}
+	if r, ok := a.kb.LookupRelation(name); ok {
+		return r, nil
+	}
+	return 0, fmt.Errorf("unknown relation %q", name)
+}
+
+func (a *Assembler) color(name string) (semnet.Color, error) {
+	if !a.lookupOnly {
+		return a.kb.InternColor(name)
+	}
+	if c, ok := a.kb.LookupColor(name); ok {
+		return c, nil
+	}
+	return 0, fmt.Errorf("unknown color %q", name)
+}
+
+// parseFinite parses a float32 operand. Infinities and NaN are refused:
+// a query answer carrying one could not be written as JSON.
+func parseFinite(key, s string) (float32, error) {
+	v, err := strconv.ParseFloat(s, 32)
+	if err != nil {
+		return 0, fmt.Errorf("bad %s %q: %v", key, s, err)
+	}
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		return 0, fmt.Errorf("bad %s %q: not a finite number", key, s)
+	}
+	return float32(v), nil
 }
 
 func parseMarker(s string) (semnet.MarkerID, error) {
@@ -268,9 +326,15 @@ func (a *Assembler) parseRule(s string) (rules.Spec, error) {
 	if two && len(args) != 2 || !two && len(args) != 1 {
 		return rules.Spec{}, fmt.Errorf("rule %q has wrong arity", s)
 	}
-	spec := rules.Spec{Kind: kind, R1: a.kb.Relation(args[0])}
+	spec := rules.Spec{Kind: kind}
+	var err error
+	if spec.R1, err = a.relation(args[0]); err != nil {
+		return rules.Spec{}, err
+	}
 	if two {
-		spec.R2 = a.kb.Relation(args[1])
+		if spec.R2, err = a.relation(args[1]); err != nil {
+			return rules.Spec{}, err
+		}
 	}
 	return spec, nil
 }

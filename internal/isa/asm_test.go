@@ -1,6 +1,8 @@
 package isa
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -149,5 +151,81 @@ func TestAsmRoundTrip(t *testing.T) {
 			t.Errorf("instruction %d: %+v != %+v\nasm: %s", i, a, b,
 				Disassemble(&p.Instrs[i], kb, p.Rules))
 		}
+	}
+}
+
+// TestLookupAssemblerNeverInterns: the lookup-only assembler resolves
+// known relation and color names like the interning one, refuses
+// unknown ones as bad programs, and leaves the KB's tables untouched.
+func TestLookupAssemblerNeverInterns(t *testing.T) {
+	kb := asmKB(t)
+	look := NewLookupAssembler(kb)
+	known, err := look.Assemble(strings.NewReader(sampleAsm))
+	if err != nil {
+		t.Fatal(err)
+	}
+	interned, err := NewAssembler(kb).Assemble(strings.NewReader(sampleAsm))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if known.Hash() != interned.Hash() {
+		t.Error("lookup-only and interning assembly of known names differ")
+	}
+	for _, src := range []string{
+		"search-color color=plaid marker=c1 value=0",
+		"search-relation rel=owns marker=c1 value=0",
+		"collect-relation marker=c1 rel=owns",
+		"marker-create marker=c1 rel=is-a dst=we rev=owned-by",
+		"propagate m1=c1 m2=c2 rule=path(owns) fn=add",
+		"propagate m1=c1 m2=c2 rule=spread(is-a,owns) fn=add",
+	} {
+		_, err := look.Assemble(strings.NewReader(src))
+		if !errors.Is(err, ErrBadProgram) {
+			t.Errorf("%q: err = %v, want ErrBadProgram", src, err)
+		}
+	}
+	if _, ok := kb.LookupColor("plaid"); ok {
+		t.Error("lookup-only assembly interned a color")
+	}
+	for _, name := range []string{"owns", "owned-by"} {
+		if _, ok := kb.LookupRelation(name); ok {
+			t.Errorf("lookup-only assembly interned relation %q", name)
+		}
+	}
+}
+
+// TestAssemblerRefusesNonFinite: value= and weight= operands must be
+// finite; an answer carrying an infinity or NaN could not be encoded.
+func TestAssemblerRefusesNonFinite(t *testing.T) {
+	kb := asmKB(t)
+	for _, src := range []string{
+		"search-node node=we marker=c1 value=inf",
+		"search-node node=we marker=c1 value=-Inf",
+		"set-marker marker=c1 value=NaN",
+		"func-marker marker=c1 fn=add operand=+inf",
+		"create src=we rel=is-a w=inf dst=animate",
+		"create src=we rel=is-a weight=nan dst=animate",
+		"set-marker marker=c1 value=1e39",
+	} {
+		if _, err := NewAssembler(kb).Assemble(strings.NewReader(src)); !errors.Is(err, ErrBadProgram) {
+			t.Errorf("%q: err = %v, want ErrBadProgram", src, err)
+		}
+	}
+	if _, err := NewAssembler(kb).Assemble(strings.NewReader("set-marker marker=c1 value=3.4e38")); err != nil {
+		t.Errorf("largest finite float32: %v", err)
+	}
+}
+
+// TestAssemblerColorTableFull: the interning assembler reports a full
+// color table as a bad program instead of panicking.
+func TestAssemblerColorTableFull(t *testing.T) {
+	kb := asmKB(t)
+	var src strings.Builder
+	for i := 0; i < 300; i++ {
+		fmt.Fprintf(&src, "search-color color=c-%d marker=c1 value=0\n", i)
+	}
+	_, err := NewAssembler(kb).Assemble(strings.NewReader(src.String()))
+	if !errors.Is(err, ErrBadProgram) || !strings.Contains(err.Error(), "color space exhausted") {
+		t.Fatalf("err = %v, want a bad program naming the full color table", err)
 	}
 }

@@ -277,13 +277,29 @@ func (kb *KB) NumLinks() int {
 // Relation interns a relation-type name, assigning the next free type.
 // It panics once the 64K type space is exhausted.
 func (kb *KB) Relation(name string) RelType {
-	kb.mu.Lock()
-	defer kb.mu.Unlock()
-	r, err := kb.relationLocked(name)
+	r, err := kb.InternRelation(name)
 	if err != nil {
 		panic(err)
 	}
 	return r
+}
+
+// InternRelation interns a relation-type name as Relation does, but
+// reports an exhausted type space as an ErrCapacity error instead of
+// panicking.
+func (kb *KB) InternRelation(name string) (RelType, error) {
+	kb.mu.Lock()
+	defer kb.mu.Unlock()
+	return kb.relationLocked(name)
+}
+
+// LookupRelation resolves an interned relation-type name without
+// interning it.
+func (kb *KB) LookupRelation(name string) (RelType, bool) {
+	kb.mu.RLock()
+	defer kb.mu.RUnlock()
+	r, ok := kb.relByName[name]
+	return r, ok
 }
 
 func (kb *KB) relationLocked(name string) (RelType, error) {
@@ -304,6 +320,10 @@ func (kb *KB) relationLocked(name string) (RelType, error) {
 func (kb *KB) RelationName(r RelType) string {
 	kb.mu.RLock()
 	defer kb.mu.RUnlock()
+	return kb.relationNameLocked(r)
+}
+
+func (kb *KB) relationNameLocked(r RelType) string {
 	if n, ok := kb.relNames[r]; ok {
 		return n
 	}
@@ -316,13 +336,27 @@ func (kb *KB) RelationName(r RelType) string {
 // ColorFor interns a color name, assigning the next free color. It
 // panics once the 255 assignable colors are exhausted.
 func (kb *KB) ColorFor(name string) Color {
-	kb.mu.Lock()
-	defer kb.mu.Unlock()
-	c, err := kb.colorLocked(name)
+	c, err := kb.InternColor(name)
 	if err != nil {
 		panic(err)
 	}
 	return c
+}
+
+// InternColor interns a color name as ColorFor does, but reports an
+// exhausted color space as an ErrCapacity error instead of panicking.
+func (kb *KB) InternColor(name string) (Color, error) {
+	kb.mu.Lock()
+	defer kb.mu.Unlock()
+	return kb.colorLocked(name)
+}
+
+// LookupColor resolves an interned color name without interning it.
+func (kb *KB) LookupColor(name string) (Color, bool) {
+	kb.mu.RLock()
+	defer kb.mu.RUnlock()
+	c, ok := kb.colorByNm[name]
+	return c, ok
 }
 
 func (kb *KB) colorLocked(name string) (Color, error) {
@@ -343,6 +377,10 @@ func (kb *KB) colorLocked(name string) (Color, error) {
 func (kb *KB) ColorName(c Color) string {
 	kb.mu.RLock()
 	defer kb.mu.RUnlock()
+	return kb.colorNameLocked(c)
+}
+
+func (kb *KB) colorNameLocked(c Color) string {
 	if n, ok := kb.colorNames[c]; ok {
 		return n
 	}
@@ -351,6 +389,33 @@ func (kb *KB) ColorName(c Color) string {
 	}
 	return fmt.Sprintf("color#%d", c)
 }
+
+// NameView resolves names for the duration of one ReadNames call, under
+// the read lock that call holds: a caller naming many rows — the engine
+// encoding a query answer — pays one lock round trip instead of one or
+// two per name. Each method answers exactly as its KB counterpart.
+type NameView struct{ kb *KB }
+
+// ReadNames calls read with kb's read lock held. read must not call kb's
+// own methods (a waiting writer would deadlock them behind the held
+// lock) and must not retain v after it returns.
+func (kb *KB) ReadNames(read func(v NameView)) {
+	kb.mu.RLock()
+	defer kb.mu.RUnlock()
+	read(NameView{kb: kb})
+}
+
+// Concept returns the name of the concept id belongs to: KB.Name of
+// KB.Canonical(id).
+func (v NameView) Concept(id NodeID) string {
+	return v.kb.nameLocked(v.kb.canonicalLocked(id))
+}
+
+// Relation returns r's name, as KB.RelationName.
+func (v NameView) Relation(r RelType) string { return v.kb.relationNameLocked(r) }
+
+// Color returns c's name, as KB.ColorName.
+func (v NameView) Color(c Color) string { return v.kb.colorNameLocked(c) }
 
 // Names resolves a set of node IDs to sorted canonical concept names,
 // deduplicating preprocessor subnodes.

@@ -229,3 +229,77 @@ func TestPreprocessRandomGraphs(t *testing.T) {
 		}
 	}
 }
+
+// TestNameViewMatchesKB: the read-locked bulk resolver answers exactly
+// as the per-call KB methods, placeholders and subnodes included.
+func TestNameViewMatchesKB(t *testing.T) {
+	kb := NewKB()
+	col := kb.ColorFor("class")
+	rel := kb.Relation("is-a")
+	hub := kb.MustAddNode("hub", col)
+	for i := 0; i < 2*RelationSlots+3; i++ {
+		kb.MustAddLink(hub, rel, 1, kb.MustAddNode(fmt.Sprintf("n%d", i), col))
+	}
+	kb.Preprocess()
+	kb.ReadNames(func(v NameView) {
+		for id := NodeID(0); int(id) < kb.NumNodes()+3; id++ {
+			if got, want := v.Concept(id), kb.nameLocked(kb.canonicalLocked(id)); got != want {
+				t.Errorf("Concept(%d) = %q, want %q", id, got, want)
+			}
+		}
+		for _, r := range []RelType{rel, rel + 1, RelCont} {
+			if got, want := v.Relation(r), kb.relationNameLocked(r); got != want {
+				t.Errorf("Relation(%d) = %q, want %q", r, got, want)
+			}
+		}
+		for _, c := range []Color{col, col + 1, ColorSubnode} {
+			if got, want := v.Color(c), kb.colorNameLocked(c); got != want {
+				t.Errorf("Color(%d) = %q, want %q", c, got, want)
+			}
+		}
+	})
+	// The view agrees with the locking accessors once the lock is gone.
+	var sub string
+	kb.ReadNames(func(v NameView) { sub = v.Concept(NodeID(kb.NumNodes() - 1)) })
+	if sub != "hub" || kb.RelationName(RelCont) != "<cont>" || kb.ColorName(ColorSubnode) != "<subnode>" {
+		t.Errorf("subnode concept %q, cont %q, subnode color %q", sub, kb.RelationName(RelCont), kb.ColorName(ColorSubnode))
+	}
+}
+
+// TestLookupAndInternErrors: lookups never intern, and the
+// error-returning interners report a full table as ErrCapacity where
+// Relation and ColorFor panic.
+func TestLookupAndInternErrors(t *testing.T) {
+	kb := NewKB()
+	if _, ok := kb.LookupColor("red"); ok {
+		t.Fatal("empty KB resolved a color")
+	}
+	if _, ok := kb.LookupRelation("is-a"); ok {
+		t.Fatal("empty KB resolved a relation")
+	}
+	red, err := kb.InternColor("red")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, ok := kb.LookupColor("red"); !ok || c != red {
+		t.Errorf("LookupColor(red) = %d, %v; want %d", c, ok, red)
+	}
+	isa, err := kb.InternRelation("is-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, ok := kb.LookupRelation("is-a"); !ok || r != isa {
+		t.Errorf("LookupRelation(is-a) = %d, %v; want %d", r, ok, isa)
+	}
+	for i := 1; i < int(ColorSubnode); i++ {
+		if _, err := kb.InternColor(fmt.Sprintf("c%d", i)); err != nil {
+			t.Fatalf("color %d: %v", i, err)
+		}
+	}
+	if _, err := kb.InternColor("one-too-many"); !errors.Is(err, ErrCapacity) {
+		t.Errorf("InternColor past the table: %v, want ErrCapacity", err)
+	}
+	if _, ok := kb.LookupColor("one-too-many"); ok {
+		t.Error("a refused color was interned")
+	}
+}
